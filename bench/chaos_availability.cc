@@ -33,6 +33,7 @@ namespace {
 
 using namespace infless;
 using namespace infless::bench;
+using metrics::Counter;
 using metrics::fmt;
 using metrics::fmtPercent;
 using metrics::printHeading;
@@ -167,6 +168,7 @@ writeBenchJson(const SweepConfig &cfg,
     for (std::size_t i = 0; i < points.size(); ++i) {
         const SweepPoint &p = points[i];
         const ScenarioResult &r = p.result;
+        const metrics::Counters &c = r.counters;
         out << "    {\"system\": \"" << systemName(p.kind) << "\""
             << ", \"mtbf_sec\": " << p.mtbfSec
             << ", \"retries\": " << (p.retriesOn ? "true" : "false")
@@ -176,10 +178,10 @@ writeBenchJson(const SweepConfig &cfg,
             << ", \"arrivals\": " << r.arrivals
             << ", \"completions\": " << r.completions
             << ", \"drops\": " << r.drops
-            << ", \"crashes\": " << r.crashes
-            << ", \"retry_count\": " << r.retries
-            << ", \"failovers\": " << r.failovers
-            << ", \"lost_batch_requests\": " << r.lostBatchRequests
+            << ", \"crashes\": " << c[Counter::ServerCrashes]
+            << ", \"retry_count\": " << c[Counter::Retries]
+            << ", \"failovers\": " << c[Counter::Failovers]
+            << ", \"lost_batch_requests\": " << c[Counter::LostBatchRequests]
             << ", \"mean_restore_sec\": " << r.meanRestoreSec
             << ", \"slo_alerts\": " << p.sloAlerts
             << ", \"truncated\": " << (r.truncated ? "true" : "false")
@@ -264,14 +266,15 @@ main(int argc, char **argv)
     bool all_consistent = true;
     for (const SweepPoint &p : points) {
         all_consistent = all_consistent && p.consistent;
+        const metrics::Counters &c = p.result.counters;
         table.addRow({systemName(p.kind), mtbfLabel(p.mtbfSec),
                       p.retriesOn ? "on" : "off",
                       fmtPercent(p.result.availability),
                       fmtPercent(p.sloAttainment()),
-                      std::to_string(p.result.crashes),
-                      std::to_string(p.result.retries),
-                      std::to_string(p.result.failovers),
-                      std::to_string(p.result.lostBatchRequests),
+                      std::to_string(c[Counter::ServerCrashes]),
+                      std::to_string(c[Counter::Retries]),
+                      std::to_string(c[Counter::Failovers]),
+                      std::to_string(c[Counter::LostBatchRequests]),
                       std::to_string(p.result.drops),
                       p.consistent ? "yes" : "NO"});
     }

@@ -41,6 +41,7 @@ namespace {
 
 using namespace infless;
 using namespace infless::bench;
+using metrics::Counter;
 using metrics::fmt;
 using metrics::fmtPercent;
 using metrics::printHeading;
@@ -275,7 +276,7 @@ writeBenchJson(const SweepConfig &cfg,
             << ", \"arrivals\": " << r.arrivals
             << ", \"completions\": " << r.completions
             << ", \"drops\": " << r.drops
-            << ", \"crashes\": " << r.crashes
+            << ", \"crashes\": " << r.counters[Counter::ServerCrashes]
             << ", \"domain_outages\": " << p.domainOutages
             << ", \"ejections\": " << p.ejections
             << ", \"readmissions\": " << p.readmissions

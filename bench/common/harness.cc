@@ -154,28 +154,10 @@ runScenario(core::Platform &platform,
     result.drops = m.drops();
     result.launches = m.launches();
     result.arrivals = m.arrivals();
-    result.crashes = m.serverCrashes();
-    result.retries = m.retries();
-    result.failovers = m.failovers();
-    result.lostBatchRequests = m.lostBatchRequests();
-    result.startupFailures = m.startupFailures();
-    result.sheds = m.sheds();
-    result.breakerSheds = m.breakerSheds();
-    result.queueEvictions = m.queueEvictions();
-    result.retryBudgetExhausted = m.retryBudgetExhausted();
-    result.breakerOpens = m.breakerOpens();
-    result.breakerCloses = m.breakerCloses();
-    result.brownoutEntries = m.brownoutEntries();
-    result.brownoutExits = m.brownoutExits();
-    result.limiterSheds = m.limiterSheds();
-    result.limiterBackoffs = m.limiterBackoffs();
+    result.counters = m.counters();
     result.availability = platform.clusterAvailability();
     result.meanRestoreSec = sim::ticksToSec(m.meanRestoreTicks());
     result.truncated = platform.simulation().events().truncated();
-    result.execCacheHits =
-        static_cast<std::int64_t>(m.execCacheHits());
-    result.execCacheMisses =
-        static_cast<std::int64_t>(m.execCacheMisses());
 
     if (telemetryEnabled())
         writeTelemetryFiles(buildTelemetry(platform, platform.name()));

@@ -83,37 +83,17 @@ struct ScenarioResult
     std::int64_t completions = 0;
     std::int64_t drops = 0;
     std::int64_t launches = 0;
-
-    // Failure accounting (all zero when no fault profile is active) -------
     std::int64_t arrivals = 0;
-    std::int64_t crashes = 0;
-    std::int64_t retries = 0;
-    std::int64_t failovers = 0;
-    std::int64_t lostBatchRequests = 0;
-    std::int64_t startupFailures = 0;
+    /** Every RunMetrics counter of the run, read by metrics::Counter id
+     *  (fault, overload and exec-cache counts stay zero when their
+     *  subsystem is off). */
+    metrics::Counters counters;
     /** Fraction of aggregate server-uptime over the run. */
     double availability = 1.0;
     /** Mean crash-to-recovery time, seconds (0 if no recovery). */
     double meanRestoreSec = 0.0;
-
-    // Overload control (all zero when the defenses are disabled) ----------
-    std::int64_t sheds = 0;
-    std::int64_t breakerSheds = 0;
-    std::int64_t queueEvictions = 0;
-    std::int64_t retryBudgetExhausted = 0;
-    std::int64_t breakerOpens = 0;
-    std::int64_t breakerCloses = 0;
-    std::int64_t brownoutEntries = 0;
-    std::int64_t brownoutExits = 0;
-    std::int64_t limiterSheds = 0;
-    std::int64_t limiterBackoffs = 0;
-
-    // Run health -----------------------------------------------------------
     /** Whether the event engine hit its safety cap (results suspect). */
     bool truncated = false;
-    /** Latency-memo effectiveness of the batch-pricing hot path. */
-    std::int64_t execCacheHits = 0;
-    std::int64_t execCacheMisses = 0;
 };
 
 /**

@@ -49,6 +49,7 @@ namespace {
 
 using namespace infless;
 using namespace infless::bench;
+using metrics::Counter;
 using metrics::fmt;
 using metrics::fmtPercent;
 using metrics::printHeading;
@@ -546,6 +547,7 @@ void
 writeRow(std::ofstream &out, const SweepPoint &p, const char *defense)
 {
     const ScenarioResult &r = p.result;
+    const metrics::Counters &c = r.counters;
     out << "    {\"defense\": \"" << defense << "\""
         << ", \"mode\": \"" << modeName(p.defense) << "\""
         << ", \"multiplier\": " << p.multiplier
@@ -559,17 +561,18 @@ writeRow(std::ofstream &out, const SweepPoint &p, const char *defense)
         << ", \"arrivals\": " << r.arrivals
         << ", \"completions\": " << r.completions
         << ", \"drops\": " << r.drops
-        << ", \"sheds\": " << r.sheds
-        << ", \"breaker_sheds\": " << r.breakerSheds
-        << ", \"limiter_sheds\": " << r.limiterSheds
-        << ", \"limiter_backoffs\": " << r.limiterBackoffs
+        << ", \"sheds\": " << c[Counter::Sheds]
+        << ", \"breaker_sheds\": " << c[Counter::BreakerSheds]
+        << ", \"limiter_sheds\": " << c[Counter::LimiterSheds]
+        << ", \"limiter_backoffs\": " << c[Counter::LimiterBackoffs]
         << ", \"limit_final\": " << p.limitFinal
         << ", \"limit_min_rtt_ms\": " << p.limitMinRttMs
         << ", \"limit_gradient\": " << p.limitGradient
-        << ", \"queue_evictions\": " << r.queueEvictions
-        << ", \"retry_budget_exhausted\": " << r.retryBudgetExhausted
-        << ", \"breaker_opens\": " << r.breakerOpens
-        << ", \"brownout_entries\": " << r.brownoutEntries
+        << ", \"queue_evictions\": " << c[Counter::QueueEvictions]
+        << ", \"retry_budget_exhausted\": "
+        << c[Counter::RetryBudgetExhausted]
+        << ", \"breaker_opens\": " << c[Counter::BreakerOpens]
+        << ", \"brownout_entries\": " << c[Counter::BrownoutEntries]
         << ", \"truncated\": " << (r.truncated ? "true" : "false")
         << ", \"consistent\": " << (p.consistent ? "true" : "false")
         << "}";
@@ -727,14 +730,15 @@ main(int argc, char **argv)
     bool all_consistent = true;
     for (const SweepPoint &p : points) {
         all_consistent = all_consistent && p.consistent;
+        const metrics::Counters &c = p.result.counters;
         table.addRow(
             {defenseName(p.defense), fmt(p.multiplier, 1) + "x",
              p.profileError == 1.0 ? "accurate" : "lying",
              fmt(p.result.offeredRps, 0), fmt(p.goodputRps, 0),
              fmt(p.degradedGoodputRps, 0), fmt(p.p99Ms, 1),
              fmtPercent(p.result.sloViolationRate),
-             std::to_string(p.result.sheds + p.result.breakerSheds +
-                            p.result.limiterSheds),
+             std::to_string(c[Counter::Sheds] + c[Counter::BreakerSheds] +
+                            c[Counter::LimiterSheds]),
              p.consistent ? "yes" : "NO"});
     }
     all_consistent = all_consistent && demo.consistent &&

@@ -659,10 +659,8 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
             // pressure the limit should choke on.
             releaseLimiter(f, record);
             if (f.limiter.limit.onSample(sim_.now(), serving, violated,
-                                         f.limiter.strategy.inFlight())) {
-                f.metrics.recordLimiterBackoff();
-                total_.recordLimiterBackoff();
-            }
+                                         f.limiter.strategy.inFlight()))
+                addCounter(f, metrics::Counter::LimiterBackoffs);
         }
     }
 
@@ -689,8 +687,7 @@ Platform::completeRequest(std::size_t idx, RequestIndex request,
         // A crash-lost request made it through a re-dispatch: that is a
         // successful failover.
         record.retried = false;
-        f.metrics.recordFailover();
-        total_.recordFailover();
+        addCounter(f, metrics::Counter::Failovers);
     }
 
     if (record.chain != kNoChain) {
@@ -868,8 +865,7 @@ Platform::launchInstance(FunctionId fn, const LaunchPlan &plan,
         int aborted = 0;
         while (aborted < 8 && faults_->startupFails()) {
             startup += runtime_.coldStartTicks(f.model->sizeMb);
-            f.metrics.recordStartupFailure();
-            total_.recordStartupFailure();
+            addCounter(f, metrics::Counter::StartupFailures);
             ++aborted;
         }
     }
@@ -976,10 +972,9 @@ Platform::killInstance(std::size_t idx)
     total_.recordInstanceCount(now, liveInstanceCount());
     recordAllocationChange();
 
-    if (!inflight.empty()) {
-        f.metrics.recordLostBatch(static_cast<int>(inflight.size()));
-        total_.recordLostBatch(static_cast<int>(inflight.size()));
-    }
+    if (!inflight.empty())
+        addCounter(f, metrics::Counter::LostBatchRequests,
+                   static_cast<std::int64_t>(inflight.size()));
     for (RequestIndex request : inflight)
         failoverRequest(fn, request);
     for (RequestIndex request : stranded)
@@ -1010,10 +1005,8 @@ Platform::dropRequestInternal(FunctionState &f, RequestIndex request,
         // as they bypass the breaker: provisioning, not congestion.
         releaseLimiter(f, record);
         if (feed_health && !coldCapacityPending(f) &&
-            f.limiter.limit.onDrop(now)) {
-            f.metrics.recordLimiterBackoff();
-            total_.recordLimiterBackoff();
-        }
+            f.limiter.limit.onDrop(now))
+            addCounter(f, metrics::Counter::LimiterBackoffs);
     }
     if (feed_health) {
         // A drop of an admitted request is a failure signal; sheds come
@@ -1057,15 +1050,13 @@ Platform::failoverRequest(FunctionId fn, RequestIndex request)
         !f.retryBudget.tryConsume()) {
         // Budget dry: the function is not completing enough work to pay
         // for re-dispatch. Fail fast instead of storming the cluster.
-        f.metrics.recordRetryBudgetExhausted();
-        total_.recordRetryBudgetExhausted();
+        addCounter(f, metrics::Counter::RetryBudgetExhausted);
         dropRequest(f, request, now);
         return;
     }
     ++rec.retries;
     rec.retried = true;
-    f.metrics.recordRetry(now);
-    total_.recordRetry(now);
+    addCounter(f, metrics::Counter::Retries);
     emitSpan(obs::SpanKind::Retry, request, fn, -1, -1, now, 0);
     // Backoff, then re-enter the ordinary routing path (which may itself
     // trigger a reactive scale-out onto the surviving servers).
@@ -1234,16 +1225,13 @@ Platform::shedRequest(FunctionState &f, RequestIndex request, sim::Tick now,
         requests_[static_cast<std::size_t>(request)];
     switch (cause) {
       case ShedCause::Breaker:
-        f.metrics.recordBreakerShed(now);
-        total_.recordBreakerShed(now);
+        addCounter(f, metrics::Counter::BreakerSheds);
         break;
       case ShedCause::Limiter:
-        f.metrics.recordLimiterShed(now);
-        total_.recordLimiterShed(now);
+        addCounter(f, metrics::Counter::LimiterSheds);
         break;
       case ShedCause::Admission:
-        f.metrics.recordShed(now);
-        total_.recordShed(now);
+        addCounter(f, metrics::Counter::Sheds);
         break;
     }
     if (opts_.overload.brownout.enabled) {
@@ -1288,8 +1276,7 @@ Platform::tryEvictInto(FunctionId fn, RequestIndex request)
 
     InstanceRuntime &rt = instances_[victim_idx];
     RequestIndex victim = rt.queue.evictOldest();
-    f.metrics.recordQueueEviction();
-    total_.recordQueueEviction();
+    addCounter(f, metrics::Counter::QueueEvictions);
     dropRequest(f, victim, now);
     bool pushed = rt.queue.push(request, now);
     sim::simAssert(pushed, "push failed after eviction");
@@ -1340,13 +1327,10 @@ Platform::noteBreakerTransitions(FunctionId fn, sim::Tick now)
     const auto &log = f.breaker.transitions();
     for (std::size_t i = f.breakerTransitionsSeen; i < log.size(); ++i) {
         const overload::BreakerTransition &t = log[i];
-        if (t.to == overload::BreakerState::Open) {
-            f.metrics.recordBreakerOpen();
-            total_.recordBreakerOpen();
-        } else if (t.to == overload::BreakerState::Closed) {
-            f.metrics.recordBreakerClose();
-            total_.recordBreakerClose();
-        }
+        if (t.to == overload::BreakerState::Open)
+            addCounter(f, metrics::Counter::BreakerOpens);
+        else if (t.to == overload::BreakerState::Closed)
+            addCounter(f, metrics::Counter::BreakerCloses);
         obs::SpanKind kind =
             t.to == overload::BreakerState::Open
                 ? obs::SpanKind::BreakerOpen
@@ -1371,13 +1355,8 @@ Platform::noteBrownoutTransition(FunctionId fn, sim::Tick now)
     if (active == f.lastBrownoutActive)
         return;
     f.lastBrownoutActive = active;
-    if (active) {
-        f.metrics.recordBrownoutEntry();
-        total_.recordBrownoutEntry();
-    } else {
-        f.metrics.recordBrownoutExit();
-        total_.recordBrownoutExit();
-    }
+    addCounter(f, active ? metrics::Counter::BrownoutEntries
+                         : metrics::Counter::BrownoutExits);
     emitFunctionEvent(active ? obs::SpanKind::BrownoutEnter
                              : obs::SpanKind::BrownoutExit,
                       fn, now);
@@ -1402,16 +1381,10 @@ Platform::overloadSnapshot(FunctionId fn) const
     snap.breakerState = f.breaker.state();
     snap.brownoutActive = f.brownout.active();
     snap.retryTokens = f.retryBudget.tokens();
-    snap.sheds = f.metrics.sheds();
-    snap.breakerSheds = f.metrics.breakerSheds();
-    snap.queueEvictions = f.metrics.queueEvictions();
-    snap.retryBudgetExhausted = f.metrics.retryBudgetExhausted();
     snap.limit = f.limiter.limit.limit();
     snap.limiterInFlight = f.limiter.strategy.inFlight();
     snap.limiterMinRtt = f.limiter.limit.minRtt();
     snap.limiterGradient = f.limiter.limit.gradient();
-    snap.limiterSheds = f.metrics.limiterSheds();
-    snap.limiterBackoffs = f.metrics.limiterBackoffs();
     return snap;
 }
 
@@ -1463,7 +1436,7 @@ Platform::injectServerCrash(cluster::ServerId id)
     sim::Tick now = sim_.now();
     cluster_.setServerDown(id);
     serverDownSince_[static_cast<std::size_t>(id)] = now;
-    total_.recordServerCrash(now);
+    total_.add(metrics::Counter::ServerCrashes);
     emitClusterEvent(obs::SpanKind::ServerCrash, id, now);
     // A crash is an anomaly: freeze the flight dump (after the crash
     // span so the dump contains it).
@@ -1541,7 +1514,7 @@ Platform::injectDomainRepair(cluster::DomainId zone)
 void
 Platform::noteDomainOutage(cluster::DomainId zone, sim::Tick at)
 {
-    total_.recordDomainOutage();
+    total_.add(metrics::Counter::DomainOutages);
     // Cluster instants carry a server id; a domain instant carries the
     // zone id there instead (the kind disambiguates in the trace).
     emitClusterEvent(obs::SpanKind::DomainOutage, zone, at);
@@ -1592,7 +1565,7 @@ Platform::healthTick()
         health_->evaluate(now, eligible, cluster_.liveServers());
     for (cluster::ServerId id : acts.readmit) {
         cluster_.liftQuarantine(id);
-        total_.recordHealthReadmission();
+        total_.add(metrics::Counter::HealthReadmissions);
         emitClusterEvent(obs::SpanKind::HealthReadmission, id, now);
     }
     for (cluster::ServerId id : acts.eject) {
@@ -1600,11 +1573,11 @@ Platform::healthTick()
         // Drain-first, like rebalancing donors: what the server hosts
         // finishes or re-routes; only new placements are refused.
         drainServer(id);
-        total_.recordHealthEjection();
+        total_.add(metrics::Counter::HealthEjections);
         if (grayMultiplier(id) > 1.0) {
             // Ground-truth check for the detection-quality counter: the
             // ejector itself never sees this.
-            total_.recordGrayDetection();
+            total_.add(metrics::Counter::GrayDetections);
         }
         emitClusterEvent(obs::SpanKind::HealthEjection, id, now);
     }
@@ -1629,7 +1602,7 @@ Platform::adoptServer(const cluster::Resources &capacity)
         health_->ensureServers(cluster_.size());
     if (faults_)
         faults_->addServer(id);
-    total_.recordCellMigration();
+    total_.add(metrics::Counter::CellMigrations);
     emitClusterEvent(obs::SpanKind::CellMigration, id, sim_.now());
     return id;
 }

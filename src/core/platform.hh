@@ -150,16 +150,13 @@ struct InstanceSnapshot
     std::size_t queueDepth = 0;
 };
 
-/** Point-in-time view of a function's overload defenses. */
+/** Point-in-time state of a function's overload defenses (their counters
+ *  are in Platform::functionMetrics). */
 struct OverloadSnapshot
 {
     overload::BreakerState breakerState = overload::BreakerState::Closed;
     bool brownoutActive = false;
     double retryTokens = 0.0;
-    std::int64_t sheds = 0;
-    std::int64_t breakerSheds = 0;
-    std::int64_t queueEvictions = 0;
-    std::int64_t retryBudgetExhausted = 0;
     // Adaptive limiter state series (AdmissionMode::Adaptive) ----------
     /** Current concurrency limit estimate. */
     double limit = 0.0;
@@ -168,8 +165,6 @@ struct OverloadSnapshot
     /** minRTT baseline (ticks) and last clamped gradient. */
     sim::Tick limiterMinRtt = 0;
     double limiterGradient = 1.0;
-    std::int64_t limiterSheds = 0;
-    std::int64_t limiterBackoffs = 0;
 };
 
 /**
@@ -652,6 +647,12 @@ class Platform
     // Helpers -----------------------------------------------------------------
 
     void refreshTargets(FunctionState &fn);
+    /** Bump counter @p c in @p f's metrics and in the run total. */
+    void addCounter(FunctionState &f, metrics::Counter c, std::int64_t n = 1)
+    {
+        f.metrics.add(c, n);
+        total_.add(c, n);
+    }
     void recordAllocationChange();
     void completeRequest(std::size_t idx, RequestIndex request,
                          sim::Tick started, sim::Tick exec_time);

@@ -522,18 +522,12 @@ ShardedPlatform::overloadSnapshot(FunctionId fn) const
             snap.breakerState = s.breakerState;
         snap.brownoutActive = snap.brownoutActive || s.brownoutActive;
         snap.retryTokens += s.retryTokens;
-        snap.sheds += s.sheds;
-        snap.breakerSheds += s.breakerSheds;
-        snap.queueEvictions += s.queueEvictions;
-        snap.retryBudgetExhausted += s.retryBudgetExhausted;
         snap.limit += s.limit;
         snap.limiterInFlight += s.limiterInFlight;
         if (s.limiterMinRtt > 0)
             snap.limiterMinRtt = std::min(snap.limiterMinRtt,
                                           s.limiterMinRtt);
         gradient_sum += s.limiterGradient;
-        snap.limiterSheds += s.limiterSheds;
-        snap.limiterBackoffs += s.limiterBackoffs;
     }
     if (snap.limiterMinRtt == sim::kTickNever)
         snap.limiterMinRtt = 0; // no cell has sampled yet

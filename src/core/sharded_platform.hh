@@ -205,13 +205,14 @@ class ShardedPlatform
     const metrics::RunMetrics &functionMetrics(FunctionId fn) const;
 
     /**
-     * Cross-cell overload state of one function. Counters, retry tokens,
-     * the concurrency limit and the in-flight count sum over cells (the
+     * Cross-cell overload state of one function. Retry tokens, the
+     * concurrency limit and the in-flight count sum over cells (the
      * limits are per-function-per-cell, so the sum is the fleet-wide
      * allowance); the minRTT baseline takes the min over cells that have
      * sampled, the gradient the mean; the breaker state reports the most
-     * severe cell and brownout is active if any cell is degraded.
-     * cells=1 delegates to the flat platform's snapshot.
+     * severe cell and brownout is active if any cell is degraded. The
+     * overload counters are in functionMetrics(). cells=1 delegates to
+     * the flat platform's snapshot.
      */
     OverloadSnapshot overloadSnapshot(FunctionId fn) const;
 

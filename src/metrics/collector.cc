@@ -7,43 +7,40 @@ RunMetrics::RunMetrics() = default;
 void
 RunMetrics::recordArrival(sim::Tick)
 {
-    ++arrivals_;
+    add(Counter::Arrivals);
 }
 
 void
 RunMetrics::recordCompletion(sim::Tick, const LatencyBreakdown &parts,
                              sim::Tick slo)
 {
-    ++completions_;
+    add(Counter::Completions);
     latency_.record(parts.total());
     queueTime_.record(parts.queue);
     execTime_.record(parts.exec);
     coldTime_.record(parts.coldStart);
     batchTime_.record(parts.batchWait);
     if (slo > 0 && parts.total() > slo)
-        ++sloViolations_;
+        add(Counter::SloViolations);
 }
 
 void
 RunMetrics::recordDrop(sim::Tick)
 {
-    ++drops_;
+    add(Counter::Drops);
 }
 
 void
 RunMetrics::recordLaunch(bool cold)
 {
-    if (cold)
-        ++coldLaunches_;
-    else
-        ++warmLaunches_;
+    add(cold ? Counter::ColdLaunches : Counter::WarmLaunches);
 }
 
 void
 RunMetrics::recordBatch(int fill)
 {
-    ++batches_;
-    batchFillSum_ += fill;
+    add(Counter::Batches);
+    add(Counter::BatchFillSum, fill);
 }
 
 void
@@ -61,170 +58,50 @@ RunMetrics::recordInstanceCount(sim::Tick now, int count)
 }
 
 void
-RunMetrics::recordServerCrash(sim::Tick)
-{
-    ++serverCrashes_;
-}
-
-void
 RunMetrics::recordServerRecovery(sim::Tick restore_ticks)
 {
-    ++serverRecoveries_;
-    restoreTicksSum_ += restore_ticks;
-}
-
-void
-RunMetrics::recordStartupFailure()
-{
-    ++startupFailures_;
-}
-
-void
-RunMetrics::recordRetry(sim::Tick)
-{
-    ++retries_;
-}
-
-void
-RunMetrics::recordFailover()
-{
-    ++failovers_;
-}
-
-void
-RunMetrics::recordLostBatch(int requests)
-{
-    lostBatch_ += requests;
-}
-
-void
-RunMetrics::recordShed(sim::Tick)
-{
-    ++sheds_;
-}
-
-void
-RunMetrics::recordBreakerShed(sim::Tick)
-{
-    ++breakerSheds_;
-}
-
-void
-RunMetrics::recordQueueEviction()
-{
-    ++queueEvictions_;
-}
-
-void
-RunMetrics::recordRetryBudgetExhausted()
-{
-    ++retryBudgetExhausted_;
-}
-
-void
-RunMetrics::recordBreakerOpen()
-{
-    ++breakerOpens_;
-}
-
-void
-RunMetrics::recordBreakerClose()
-{
-    ++breakerCloses_;
-}
-
-void
-RunMetrics::recordBrownoutEntry()
-{
-    ++brownoutEntries_;
-}
-
-void
-RunMetrics::recordBrownoutExit()
-{
-    ++brownoutExits_;
-}
-
-void
-RunMetrics::recordLimiterShed(sim::Tick)
-{
-    ++limiterSheds_;
-}
-
-void
-RunMetrics::recordLimiterBackoff()
-{
-    ++limiterBackoffs_;
-}
-
-void
-RunMetrics::recordCellMigration()
-{
-    ++cellMigrations_;
-}
-
-void
-RunMetrics::recordHealthEjection()
-{
-    ++healthEjections_;
-}
-
-void
-RunMetrics::recordHealthReadmission()
-{
-    ++healthReadmissions_;
-}
-
-void
-RunMetrics::recordGrayDetection()
-{
-    ++grayDetections_;
-}
-
-void
-RunMetrics::recordDomainOutage()
-{
-    ++domainOutages_;
+    add(Counter::ServerRecoveries);
+    add(Counter::RestoreTicksSum, restore_ticks);
 }
 
 sim::Tick
 RunMetrics::meanRestoreTicks() const
 {
-    return serverRecoveries_ == 0 ? 0
-                                  : restoreTicksSum_ / serverRecoveries_;
+    return serverRecoveries() == 0 ? 0
+                                   : restoreTicksSum() / serverRecoveries();
 }
 
 void
 RunMetrics::recordExecCache(std::uint64_t hits, std::uint64_t misses)
 {
-    execCacheHits_ = hits;
-    execCacheMisses_ = misses;
+    counters_[Counter::ExecCacheHits] = static_cast<std::int64_t>(hits);
+    counters_[Counter::ExecCacheMisses] = static_cast<std::int64_t>(misses);
 }
 
 double
 RunMetrics::execCacheHitRate() const
 {
-    std::uint64_t total = execCacheHits_ + execCacheMisses_;
+    std::int64_t total = execCacheHits() + execCacheMisses();
     return total == 0 ? 0.0
-                      : static_cast<double>(execCacheHits_) /
+                      : static_cast<double>(execCacheHits()) /
                             static_cast<double>(total);
 }
 
 double
 RunMetrics::meanBatchFill() const
 {
-    return batches_ == 0 ? 0.0
-                         : static_cast<double>(batchFillSum_) /
-                               static_cast<double>(batches_);
+    return batches() == 0 ? 0.0
+                          : static_cast<double>(batchFillSum()) /
+                                static_cast<double>(batches());
 }
 
 double
 RunMetrics::sloViolationRate() const
 {
-    std::int64_t finished = completions_ + drops_;
+    std::int64_t finished = completions() + drops();
     if (finished == 0)
         return 0.0;
-    return static_cast<double>(sloViolations_ + drops_) /
+    return static_cast<double>(sloViolations() + drops()) /
            static_cast<double>(finished);
 }
 
@@ -233,7 +110,7 @@ RunMetrics::coldLaunchRate() const
 {
     std::int64_t total = launches();
     return total == 0 ? 0.0
-                      : static_cast<double>(coldLaunches_) /
+                      : static_cast<double>(coldLaunches()) /
                             static_cast<double>(total);
 }
 
@@ -242,7 +119,7 @@ RunMetrics::throughputRps(sim::Tick duration) const
 {
     if (duration <= 0)
         return 0.0;
-    return static_cast<double>(completions_) / sim::ticksToSec(duration);
+    return static_cast<double>(completions()) / sim::ticksToSec(duration);
 }
 
 double
@@ -290,42 +167,14 @@ RunMetrics::throughputPerResource(sim::Tick duration, double beta) const
         return 0.0;
     // completions / weighted-resource-seconds: requests served per unit of
     // (beta-weighted) resource-time occupied.
-    return static_cast<double>(completions_) / weighted_seconds;
+    return static_cast<double>(completions()) / weighted_seconds;
 }
 
 void
 RunMetrics::mergeCounters(const RunMetrics &other)
 {
-    arrivals_ += other.arrivals_;
-    completions_ += other.completions_;
-    drops_ += other.drops_;
-    sloViolations_ += other.sloViolations_;
-    coldLaunches_ += other.coldLaunches_;
-    warmLaunches_ += other.warmLaunches_;
-    batches_ += other.batches_;
-    batchFillSum_ += other.batchFillSum_;
-    serverCrashes_ += other.serverCrashes_;
-    serverRecoveries_ += other.serverRecoveries_;
-    startupFailures_ += other.startupFailures_;
-    retries_ += other.retries_;
-    failovers_ += other.failovers_;
-    lostBatch_ += other.lostBatch_;
-    sheds_ += other.sheds_;
-    breakerSheds_ += other.breakerSheds_;
-    queueEvictions_ += other.queueEvictions_;
-    retryBudgetExhausted_ += other.retryBudgetExhausted_;
-    breakerOpens_ += other.breakerOpens_;
-    breakerCloses_ += other.breakerCloses_;
-    brownoutEntries_ += other.brownoutEntries_;
-    brownoutExits_ += other.brownoutExits_;
-    limiterSheds_ += other.limiterSheds_;
-    limiterBackoffs_ += other.limiterBackoffs_;
-    cellMigrations_ += other.cellMigrations_;
-    healthEjections_ += other.healthEjections_;
-    healthReadmissions_ += other.healthReadmissions_;
-    grayDetections_ += other.grayDetections_;
-    domainOutages_ += other.domainOutages_;
-    restoreTicksSum_ += other.restoreTicksSum_;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        counters_.values[i] += other.counters_.values[i];
     latency_.merge(other.latency_);
     queueTime_.merge(other.queueTime_);
     execTime_.merge(other.execTime_);
@@ -341,8 +190,6 @@ RunMetrics::mergeShard(const RunMetrics &other, sim::Tick now)
     gpuDevices_.merge(other.gpuDevices_, now);
     memoryMb_.merge(other.memoryMb_, now);
     instances_.merge(other.instances_, now);
-    execCacheHits_ += other.execCacheHits_;
-    execCacheMisses_ += other.execCacheMisses_;
 }
 
 } // namespace infless::metrics

@@ -11,9 +11,10 @@
 #ifndef INFLESS_METRICS_COLLECTOR_HH
 #define INFLESS_METRICS_COLLECTOR_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
+#include <iterator>
 
 #include "cluster/resources.hh"
 #include "metrics/stats.hh"
@@ -35,12 +36,122 @@ struct LatencyBreakdown
 };
 
 /**
+ * The run counters, one row each: X(id, getter, exported name, help).
+ * Storage, recording, getters, merging and telemetry export are all
+ * derived from this list, and rows export in list order. A row with an
+ * empty name is an internal sum: merged, never exported. Adding a
+ * counter is one row here plus its RunMetrics::add() call sites.
+ */
+#define INFLESS_RUN_COUNTERS(X)                                              \
+    X(Arrivals, arrivals, "arrivals_total",                                  \
+      "Requests that entered the system")                                    \
+    X(Completions, completions, "completions_total", "Requests completed")   \
+    X(Drops, drops, "drops_total", "Requests dropped")                       \
+    X(SloViolations, sloViolations, "slo_violations_total",                  \
+      "Completions that missed their SLO")                                   \
+    X(ColdLaunches, coldLaunches, "cold_launches_total",                     \
+      "Instance launches paying a cold start")                               \
+    X(WarmLaunches, warmLaunches, "warm_launches_total",                     \
+      "Instance launches from the pre-warmed pool")                          \
+    X(Batches, batches, "batches_total", "Batches executed")                 \
+    X(ServerCrashes, serverCrashes, "server_crashes_total",                  \
+      "Injected server crashes")                                             \
+    X(ServerRecoveries, serverRecoveries, "server_recoveries_total",         \
+      "Crashed servers restored")                                            \
+    X(StartupFailures, startupFailures, "startup_failures_total",            \
+      "Aborted cold-start attempts")                                         \
+    X(Retries, retries, "retries_total", "Crash-lost requests re-dispatched") \
+    X(Failovers, failovers, "failovers_total",                               \
+      "Retried requests that completed")                                     \
+    X(LostBatchRequests, lostBatchRequests, "lost_batch_requests_total",     \
+      "Requests mid-batch on crash-killed instances")                        \
+    X(ExecCacheHits, execCacheHits, "exec_cache_hits_total",                 \
+      "Latency-cache pricings served from the memo")                         \
+    X(ExecCacheMisses, execCacheMisses, "exec_cache_misses_total",           \
+      "Latency-cache pricings computed from the surface")                    \
+    X(Sheds, sheds, "sheds_total",                                           \
+      "Requests shed by deadline-aware admission control")                   \
+    X(BreakerSheds, breakerSheds, "breaker_sheds_total",                     \
+      "Requests shed by an open circuit breaker")                            \
+    X(QueueEvictions, queueEvictions, "queue_evictions_total",               \
+      "Queued requests evicted to seat fresher arrivals")                    \
+    X(RetryBudgetExhausted, retryBudgetExhausted,                            \
+      "retry_budget_exhausted_total",                                        \
+      "Retries denied by an empty retry budget")                             \
+    X(BreakerOpens, breakerOpens, "breaker_opens_total",                     \
+      "Circuit breaker open transitions")                                    \
+    X(BreakerCloses, breakerCloses, "breaker_closes_total",                  \
+      "Circuit breaker close transitions")                                   \
+    X(BrownoutEntries, brownoutEntries, "brownout_entries_total",            \
+      "Functions entering degraded (brownout) mode")                         \
+    X(BrownoutExits, brownoutExits, "brownout_exits_total",                  \
+      "Functions leaving degraded (brownout) mode")                          \
+    X(LimiterSheds, limiterSheds, "limiter_sheds_total",                     \
+      "Requests shed by the adaptive concurrency limiter")                   \
+    X(LimiterBackoffs, limiterBackoffs, "limiter_backoffs_total",            \
+      "Adaptive-limit multiplicative decreases (timeout/drop)")              \
+    X(CellMigrations, cellMigrations, "cell_migrations_total",               \
+      "Servers migrated between cells at window barriers")                   \
+    X(HealthEjections, healthEjections, "health_ejections_total",            \
+      "Servers quarantined by the outlier ejector")                          \
+    X(HealthReadmissions, healthReadmissions, "health_readmissions_total",   \
+      "Quarantined servers re-admitted after probation")                     \
+    X(GrayDetections, grayDetections, "gray_detections_total",               \
+      "Ejected servers that were ground-truth gray failures")                \
+    X(DomainOutages, domainOutages, "domain_outages_total",                  \
+      "Correlated failure-domain outages injected")                          \
+    X(BatchFillSum, batchFillSum, "", "")                                    \
+    X(RestoreTicksSum, restoreTicksSum, "", "")
+
+/** Counter id: one per INFLESS_RUN_COUNTERS row, in row order. */
+enum class Counter : std::size_t
+{
+#define INFLESS_COUNTER_ID(id, getter, name, help) id,
+    INFLESS_RUN_COUNTERS(INFLESS_COUNTER_ID)
+#undef INFLESS_COUNTER_ID
+};
+
+/** Exported name and help text of one counter row. */
+struct CounterRow
+{
+    const char *name; ///< empty for internal sums
+    const char *help;
+};
+
+/** The counter rows, indexed by Counter. */
+inline constexpr CounterRow kCounterRows[] = {
+#define INFLESS_COUNTER_ROW(id, getter, name, help) {name, help},
+    INFLESS_RUN_COUNTERS(INFLESS_COUNTER_ROW)
+#undef INFLESS_COUNTER_ROW
+};
+
+inline constexpr std::size_t kNumCounters = std::size(kCounterRows);
+
+/** One value per counter, indexed by Counter. */
+struct Counters
+{
+    std::array<std::int64_t, kNumCounters> values{};
+
+    std::int64_t operator[](Counter c) const
+    {
+        return values[static_cast<std::size_t>(c)];
+    }
+    std::int64_t &operator[](Counter c)
+    {
+        return values[static_cast<std::size_t>(c)];
+    }
+};
+
+/**
  * Aggregated counters and distributions for one run (or one function).
  */
 class RunMetrics
 {
   public:
     RunMetrics();
+
+    /** Bump counter @p c by @p n. */
+    void add(Counter c, std::int64_t n = 1) { counters_[c] += n; }
 
     /** A request entered the system. */
     void recordArrival(sim::Tick now);
@@ -65,75 +176,8 @@ class RunMetrics
     /** The live instance count changed. */
     void recordInstanceCount(sim::Tick now, int count);
 
-    // Failure accounting (fault injection) --------------------------------
-
-    /** A server crashed. */
-    void recordServerCrash(sim::Tick now);
-
     /** A crashed server recovered after @p restore_ticks of downtime. */
     void recordServerRecovery(sim::Tick restore_ticks);
-
-    /** A cold-start attempt aborted and restarted. */
-    void recordStartupFailure();
-
-    /** A lost request was re-dispatched (one retry attempt). */
-    void recordRetry(sim::Tick now);
-
-    /** A retried request completed (successful failover). */
-    void recordFailover();
-
-    /** @p requests were mid-batch on an instance killed by a crash. */
-    void recordLostBatch(int requests);
-
-    // Overload control plane ----------------------------------------------
-
-    /** Admission control shed a request at ingress (fail-fast). */
-    void recordShed(sim::Tick now);
-
-    /** An open/half-open circuit breaker shed a request at ingress. */
-    void recordBreakerShed(sim::Tick now);
-
-    /** The oldest queued request was evicted for a newcomer. */
-    void recordQueueEviction();
-
-    /** A failover was denied because the retry budget ran dry. */
-    void recordRetryBudgetExhausted();
-
-    /** A circuit breaker tripped open. */
-    void recordBreakerOpen();
-
-    /** A circuit breaker closed again after successful probes. */
-    void recordBreakerClose();
-
-    /** A function entered brownout (degraded-SLO) mode. */
-    void recordBrownoutEntry();
-
-    /** A function left brownout mode. */
-    void recordBrownoutExit();
-
-    /** The adaptive concurrency limiter shed a request at ingress. */
-    void recordLimiterShed(sim::Tick now);
-
-    /** The adaptive limiter backed its limit off (timeout/drop signal). */
-    void recordLimiterBackoff();
-
-    // Sharded control plane -----------------------------------------------
-
-    /** A server migrated between cells at a window barrier. */
-    void recordCellMigration();
-
-    // Health / failure domains --------------------------------------------
-
-    /** The outlier ejector quarantined a degraded server. */
-    void recordHealthEjection();
-    /** A quarantined server finished probation and was re-admitted. */
-    void recordHealthReadmission();
-    /** An ejected server turned out to be ground-truth gray. */
-    void recordGrayDetection();
-    /** A correlated failure-domain outage hit. */
-    void recordDomainOutage();
-
-    // Latency-surface cache (simulation engine) ---------------------------
 
     /** Snapshot the exec-model memo's hit/miss counters (absolute values;
      *  re-recording overwrites, so repeated run() calls stay correct). */
@@ -141,40 +185,14 @@ class RunMetrics
 
     // Raw counters -------------------------------------------------------
 
-    std::int64_t arrivals() const { return arrivals_; }
-    std::int64_t completions() const { return completions_; }
-    std::int64_t drops() const { return drops_; }
-    std::int64_t sloViolations() const { return sloViolations_; }
-    std::int64_t coldLaunches() const { return coldLaunches_; }
-    std::int64_t warmLaunches() const { return warmLaunches_; }
-    std::int64_t launches() const { return coldLaunches_ + warmLaunches_; }
-    std::int64_t batches() const { return batches_; }
-    std::int64_t serverCrashes() const { return serverCrashes_; }
-    std::int64_t serverRecoveries() const { return serverRecoveries_; }
-    std::int64_t startupFailures() const { return startupFailures_; }
-    std::int64_t retries() const { return retries_; }
-    std::int64_t failovers() const { return failovers_; }
-    std::int64_t lostBatchRequests() const { return lostBatch_; }
-    std::int64_t sheds() const { return sheds_; }
-    std::int64_t breakerSheds() const { return breakerSheds_; }
-    std::int64_t queueEvictions() const { return queueEvictions_; }
-    std::int64_t retryBudgetExhausted() const
-    {
-        return retryBudgetExhausted_;
-    }
-    std::int64_t breakerOpens() const { return breakerOpens_; }
-    std::int64_t breakerCloses() const { return breakerCloses_; }
-    std::int64_t brownoutEntries() const { return brownoutEntries_; }
-    std::int64_t brownoutExits() const { return brownoutExits_; }
-    std::int64_t limiterSheds() const { return limiterSheds_; }
-    std::int64_t limiterBackoffs() const { return limiterBackoffs_; }
-    std::int64_t cellMigrations() const { return cellMigrations_; }
-    std::int64_t healthEjections() const { return healthEjections_; }
-    std::int64_t healthReadmissions() const { return healthReadmissions_; }
-    std::int64_t grayDetections() const { return grayDetections_; }
-    std::int64_t domainOutages() const { return domainOutages_; }
-    std::uint64_t execCacheHits() const { return execCacheHits_; }
-    std::uint64_t execCacheMisses() const { return execCacheMisses_; }
+    const Counters &counters() const { return counters_; }
+
+#define INFLESS_COUNTER_GETTER(id, getter, name, help)                       \
+    std::int64_t getter() const { return counters_[Counter::id]; }
+    INFLESS_RUN_COUNTERS(INFLESS_COUNTER_GETTER)
+#undef INFLESS_COUNTER_GETTER
+
+    std::int64_t launches() const { return coldLaunches() + warmLaunches(); }
 
     /** Fraction of exec-model pricings served from the memo. */
     double execCacheHitRate() const;
@@ -228,50 +246,21 @@ class RunMetrics
      */
     double throughputPerResource(sim::Tick duration, double beta) const;
 
-    /** Merge counters of another collector (per-function -> total). */
+    /** Merge counters (every one sums) and histograms of another
+     *  collector. */
     void mergeCounters(const RunMetrics &other);
 
     /**
-     * Absorb a sibling cell's shard completely: counters, histograms,
-     * the time-weighted resource/instance signals (summed — cells
-     * partition the fleet) and the exec-cache tallies. Both shards'
-     * signals are closed at @p now, the common end of the run.
+     * Absorb a sibling cell's shard completely: counters (exec-cache
+     * tallies included), histograms and the time-weighted
+     * resource/instance signals (summed — cells partition the fleet).
+     * Both shards' signals are closed at @p now, the common end of the
+     * run.
      */
     void mergeShard(const RunMetrics &other, sim::Tick now);
 
   private:
-    std::int64_t arrivals_ = 0;
-    std::int64_t completions_ = 0;
-    std::int64_t drops_ = 0;
-    std::int64_t sloViolations_ = 0;
-    std::int64_t coldLaunches_ = 0;
-    std::int64_t warmLaunches_ = 0;
-    std::int64_t batches_ = 0;
-    std::int64_t batchFillSum_ = 0;
-    std::int64_t serverCrashes_ = 0;
-    std::int64_t serverRecoveries_ = 0;
-    std::int64_t startupFailures_ = 0;
-    std::int64_t retries_ = 0;
-    std::int64_t failovers_ = 0;
-    std::int64_t lostBatch_ = 0;
-    std::int64_t sheds_ = 0;
-    std::int64_t breakerSheds_ = 0;
-    std::int64_t queueEvictions_ = 0;
-    std::int64_t retryBudgetExhausted_ = 0;
-    std::int64_t breakerOpens_ = 0;
-    std::int64_t breakerCloses_ = 0;
-    std::int64_t brownoutEntries_ = 0;
-    std::int64_t brownoutExits_ = 0;
-    std::int64_t limiterSheds_ = 0;
-    std::int64_t limiterBackoffs_ = 0;
-    std::int64_t cellMigrations_ = 0;
-    std::int64_t healthEjections_ = 0;
-    std::int64_t healthReadmissions_ = 0;
-    std::int64_t grayDetections_ = 0;
-    std::int64_t domainOutages_ = 0;
-    sim::Tick restoreTicksSum_ = 0;
-    std::uint64_t execCacheHits_ = 0;
-    std::uint64_t execCacheMisses_ = 0;
+    Counters counters_;
 
     LatencyHistogram latency_;
     LatencyHistogram queueTime_;

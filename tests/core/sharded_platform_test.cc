@@ -317,8 +317,9 @@ adaptiveOverloadRun(std::size_t threads)
 
     auto fp = fingerprint(platform.totalMetrics(), kRunEnd);
     auto snap = platform.overloadSnapshot(fn);
-    fp.push_back(static_cast<double>(snap.limiterSheds));
-    fp.push_back(static_cast<double>(snap.limiterBackoffs));
+    const RunMetrics &fm = platform.functionMetrics(fn);
+    fp.push_back(static_cast<double>(fm.limiterSheds()));
+    fp.push_back(static_cast<double>(fm.limiterBackoffs()));
     fp.push_back(snap.limit);
     fp.push_back(static_cast<double>(snap.limiterMinRtt));
 
@@ -328,10 +329,10 @@ adaptiveOverloadRun(std::size_t threads)
     std::int64_t cell_sheds = 0;
     for (std::size_t c = 0; c < 2; ++c)
         cell_sheds += platform.cell(c).totalMetrics().limiterSheds();
-    EXPECT_EQ(snap.limiterSheds, cell_sheds);
-    EXPECT_EQ(snap.limiterSheds, m.limiterSheds());
-    EXPECT_GT(snap.limiterSheds, 0);
-    EXPECT_GT(snap.limiterBackoffs, 0);
+    EXPECT_EQ(fm.limiterSheds(), cell_sheds);
+    EXPECT_EQ(fm.limiterSheds(), m.limiterSheds());
+    EXPECT_GT(fm.limiterSheds(), 0);
+    EXPECT_GT(fm.limiterBackoffs(), 0);
     EXPECT_EQ(m.completions() + m.drops(), m.arrivals());
     return fp;
 }

@@ -11,6 +11,8 @@
 namespace {
 
 using infless::cluster::Resources;
+using infless::metrics::Counter;
+using infless::metrics::kNumCounters;
 using infless::metrics::LatencyBreakdown;
 using infless::metrics::RunMetrics;
 using infless::sim::kTicksPerMs;
@@ -119,6 +121,23 @@ TEST(RunMetricsTest, MergeCountersAggregates)
     EXPECT_EQ(a.drops(), 1);
     EXPECT_EQ(a.coldLaunches(), 1);
     EXPECT_EQ(a.batches(), 1);
+
+    // Every counter id sums, under both merges.
+    RunMetrics x, y;
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        auto v = static_cast<std::int64_t>(i) + 1;
+        x.add(static_cast<Counter>(i), v);
+        y.add(static_cast<Counter>(i), 1000 * v);
+    }
+    RunMetrics counters = x;
+    RunMetrics shard = x;
+    counters.mergeCounters(y);
+    shard.mergeShard(y, kTicksPerSec);
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        auto want = 1001 * (static_cast<std::int64_t>(i) + 1);
+        EXPECT_EQ(counters.counters().values[i], want) << "counter " << i;
+        EXPECT_EQ(shard.counters().values[i], want) << "counter " << i;
+    }
 }
 
 TEST(RunMetricsTest, LatencyBreakdownHistogramsFill)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -220,6 +221,49 @@ TEST(Telemetry, BatchWaitHistogramExported)
     EXPECT_NE(prom.find("# TYPE infless_batch_ms summary"),
               std::string::npos);
     EXPECT_NE(prom.find("infless_batch_ms_count 8"), std::string::npos);
+}
+
+/** The `# HELP` / `# TYPE` / sample lines of every counter family. */
+std::string
+counterFamilies(const std::string &prom)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(prom);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::string out;
+    for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+        const std::string &type = lines[i];
+        if (type.rfind("# TYPE ", 0) != 0 ||
+            type.substr(type.rfind(' ')) != " counter")
+            continue;
+        if (i > 0 && lines[i - 1].rfind("# HELP ", 0) == 0)
+            out += lines[i - 1] + "\n";
+        out += type + "\n" + lines[i + 1] + "\n";
+    }
+    return out;
+}
+
+TEST(Telemetry, RunMetricsCountersMatchFixture)
+{
+    // Exported counter k (in export order) holds 100 - k, so a counter
+    // exported under another row's name or help, or out of order, shows.
+    metrics::RunMetrics m;
+    std::int64_t value = 100;
+    for (std::size_t i = 0; i < metrics::kNumCounters; ++i)
+        if (metrics::kCounterRows[i].name[0] != '\0')
+            m.add(static_cast<metrics::Counter>(i), value--);
+    TelemetryRegistry telemetry;
+    telemetry.addRunMetrics(m);
+    std::ostringstream prom;
+    telemetry.writePrometheus(prom);
+
+    std::ifstream fixture(INFLESS_OBS_FIXTURE_DIR
+                          "/run_metrics_counters.prom");
+    ASSERT_TRUE(fixture) << "missing run_metrics_counters.prom";
+    std::ostringstream want;
+    want << fixture.rdbuf();
+    EXPECT_EQ(counterFamilies(prom.str()), want.str());
 }
 
 TEST(Telemetry, PrometheusCounterAndSummaryTypes)
