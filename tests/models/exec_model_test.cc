@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "cluster/resources.hh"
@@ -181,9 +182,13 @@ TEST(ExecModelTest, TrueTicksIsPositive)
     }
 }
 
-/** Parameterized sweep: monotonicity of latency in batchsize. */
+/**
+ * Parameterized sweep: monotonicity of latency in batchsize. The model name
+ * is a std::string, not a const char *, so gtest prints its text rather than
+ * its address and the listed test names are the same on every run.
+ */
 class ExecBatchMonotonicity
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
@@ -203,8 +208,11 @@ TEST_P(ExecBatchMonotonicity, LatencyRisesWithBatch)
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, ExecBatchMonotonicity,
-    ::testing::Combine(::testing::Values("ResNet-50", "MobileNet",
-                                         "LSTM-2365", "Bert-v1", "MNIST"),
+    ::testing::Combine(::testing::Values(std::string("ResNet-50"),
+                                         std::string("MobileNet"),
+                                         std::string("LSTM-2365"),
+                                         std::string("Bert-v1"),
+                                         std::string("MNIST")),
                        ::testing::Values(0, 10, 30)),
     [](const auto &info) {
         std::string n = std::get<0>(info.param);
